@@ -63,4 +63,4 @@ pub use exec::parallel_map;
 pub use fleet::{Fleet, FleetConfig, FleetGovernor, FleetTotals};
 pub use migration::{MigrationCostModel, MigrationRecord, MigrationTrigger};
 pub use placement::{HostCapacity, Placement, PlacementPolicy, VmSpec};
-pub use shard::{place_sharded, zone_of, ShardConfig, ShardedPlacement};
+pub use shard::{fnv1a64, place_sharded, zone_of, ShardConfig, ShardedPlacement};

@@ -94,6 +94,21 @@ impl ShardConfig {
     }
 }
 
+/// The 64-bit FNV-1a hash of `bytes`.
+///
+/// Pure and stable across processes and machines: zone hashing uses it
+/// for reproducible placements, and the golden-digest test uses it to
+/// fingerprint artefacts.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in bytes {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// The virtual zone a VM name hashes to (FNV-1a 64 modulo `zones`).
 ///
 /// Pure and stable: the same name maps to the same zone in every
@@ -105,12 +120,7 @@ impl ShardConfig {
 #[must_use]
 pub fn zone_of(name: &str, zones: usize) -> usize {
     assert!(zones >= 1, "at least one virtual zone is required");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % zones as u64) as usize
+    (fnv1a64(name.as_bytes()) % zones as u64) as usize
 }
 
 /// One zone's packing: open hosts (with booked totals) plus the spec
@@ -307,6 +317,13 @@ mod tests {
                 assert_eq!(z, zone_of(&format!("vm{i}"), zones), "stable");
             }
         }
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
