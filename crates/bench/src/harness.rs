@@ -470,19 +470,6 @@ fn fleet_traced(n: usize, quick: bool, traced: bool) {
     }
 }
 
-/// The 96-VM fleet from `fleet_epochs`, run with the event-driven
-/// simulation core off or on — the A/B pair measuring what the fused
-/// steady-window replay and the next-event epoch skip buy on a mixed
-/// fleet. Results are bit-identical either way (the determinism suites
-/// enforce it); only wall-clock may differ.
-fn fleet_event_core(n: usize, quick: bool, on: bool) {
-    let specs = fleet_population(n);
-    let cfg = FleetConfig::pas_defaults().with_event_core(on);
-    let mut fleet = Fleet::build(cfg, &specs);
-    fleet.run_epochs(if quick { 3 } else { 10 }, 4);
-    assert!(fleet.totals().energy_j > 0.0);
-}
-
 /// A datacenter-scale fleet pass: a `hosts`-host population (four VMs
 /// per Optiplex host), 16 shard controllers, and short 10 s control
 /// epochs so a repetition stays affordable. `bounded` selects the
@@ -562,19 +549,6 @@ pub fn suite(quick: bool) -> Vec<Benchmark> {
         .interleaved_with_next(),
         Benchmark::new("fleet_96vms_trace_on", "trace_overhead", move || {
             fleet_traced(96, quick, true);
-        }),
-        // Event-driven core A/B on the 96-VM fleet: off first, so the
-        // pair reads top-to-bottom as exact → event-driven and the
-        // pair statistic's sign matches the other pairs (negative =
-        // the event core is faster). Interleaved for the same reason
-        // as the tracing pair: the delta is small against sequential
-        // run-to-run drift.
-        Benchmark::new("fleet_96vms_event_off", "event_core", move || {
-            fleet_event_core(96, quick, false);
-        })
-        .interleaved_with_next(),
-        Benchmark::new("fleet_96vms_event_on", "event_core", move || {
-            fleet_event_core(96, quick, true);
         }),
         // Datacenter scale: wall-clock + RSS at 1k and 10k hosts.
         // Sketch variants first — see `fleet_scale` on why order

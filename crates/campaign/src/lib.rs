@@ -164,8 +164,7 @@ pub struct TracedCampaign {
     /// shows the parallel speedup — and the host hot-path phases
     /// `host_slice` / `sched_acct` / `governor` / `snapshot`, slices
     /// of `runs_cpu` summed across every simulated host) and counters
-    /// (including `fused_slices`, the event core's fast-path
-    /// coverage).
+    /// (`runs`, `trace_events`, `trace_dropped`).
     pub profile: metrics::profile::ProfileReport,
 }
 
@@ -210,7 +209,7 @@ pub fn run_traced(
     // Host hot-path phase timings, summed across every run's hosts
     // (see `run::PerfTotals`). These are slices of `runs_cpu`: how
     // much of the worker time went to advancing VM slices versus each
-    // boundary kind, plus the event core's fused-slice coverage.
+    // boundary kind.
     let mut perf = run::PerfTotals::default();
     for (r, _) in &results {
         perf.merge(r.perf);
@@ -219,7 +218,6 @@ pub fn run_traced(
     profiler.add_span_ms("sched_acct", perf.sched_acct_ns as f64 / 1e6);
     profiler.add_span_ms("governor", perf.governor_ns as f64 / 1e6);
     profiler.add_span_ms("snapshot", perf.snapshot_ns as f64 / 1e6);
-    profiler.count("fused_slices", perf.fused_slices);
     profiler.count("runs", results.len() as u64);
     profiler.count(
         "trace_events",

@@ -51,9 +51,8 @@ pub struct TracedRun {
 }
 
 /// Host hot-path phase timings for one run, summed over its hosts
-/// (see [`hypervisor::HostPerf`]), plus the number of slices the
-/// event core committed through its fused replay loop. The campaign
-/// folds these into its `<name>-profile.json` report.
+/// (see [`hypervisor::HostPerf`]). The campaign folds these into its
+/// `<name>-profile.json` report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PerfTotals {
     /// Time advancing VM slices, in nanoseconds.
@@ -64,17 +63,14 @@ pub struct PerfTotals {
     pub governor_ns: u64,
     /// Time taking statistics snapshots, in nanoseconds.
     pub snapshot_ns: u64,
-    /// Slices committed by the fused replay loop (coverage counter).
-    pub fused_slices: u64,
 }
 
 impl PerfTotals {
-    fn absorb(&mut self, perf: hypervisor::HostPerf, fused_slices: u64) {
+    fn absorb(&mut self, perf: hypervisor::HostPerf) {
         self.host_slice_ns += perf.host_slice_ns;
         self.sched_acct_ns += perf.sched_acct_ns;
         self.governor_ns += perf.governor_ns;
         self.snapshot_ns += perf.snapshot_ns;
-        self.fused_slices += fused_slices;
     }
 
     /// Adds another run's totals into this one (campaign totals).
@@ -83,7 +79,6 @@ impl PerfTotals {
         self.sched_acct_ns += other.sched_acct_ns;
         self.governor_ns += other.governor_ns;
         self.snapshot_ns += other.snapshot_ns;
-        self.fused_slices += other.fused_slices;
     }
 }
 
@@ -309,7 +304,7 @@ fn run_host(
     ];
     scalars.extend(per_vm);
     let mut perf = PerfTotals::default();
-    perf.absorb(host.perf(), host.fused_slices());
+    perf.absorb(host.perf());
     let trace = host
         .take_tracer()
         .map(|tracer| trace::Trace::merge(vec![tracer]));
@@ -360,7 +355,6 @@ fn run_fleet(
         epoch: SimDuration::from_secs_f64(sc.epoch_s),
         spare_hosts: sc.spare_hosts,
         idle_fast_path: true,
-        event_core: true,
         sharding: sc.shards.map(cluster::ShardConfig::new),
         // Campaigns only consume scalar reductions, so every fleet
         // run takes the bounded-statistics path: mean load from the
@@ -381,9 +375,8 @@ fn run_fleet(
     // replicas and design points, which is both simpler and fuller.
     fleet.run_epochs(epochs, 1);
     let totals = fleet.totals();
-    let (host_perf, fused) = fleet.perf_totals();
     let mut perf = PerfTotals::default();
-    perf.absorb(host_perf, fused);
+    perf.absorb(fleet.perf_totals().0);
     let trace = fleet.take_trace();
     let sketch = fleet.load_sketch();
 

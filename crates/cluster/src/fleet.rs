@@ -77,17 +77,9 @@ pub struct FleetConfig {
     pub spare_hosts: usize,
     /// Whether hosts may use the hypervisor's idle-skip fast path and
     /// [`Fleet::run_epochs`] may keep quiescent hosts off the worker
-    /// pool. Bit-identical either way; the switch exists for the
-    /// fast-vs-exact benchmarks and regression tests.
+    /// pool. Bit-identical either way; the fleet's only switch, kept
+    /// for the fast-vs-exact benchmarks and regression tests.
     pub idle_fast_path: bool,
-    /// Whether hosts run the event-driven core (fused steady-window
-    /// replay, see `hypervisor`'s `HostConfig::event_core`) and
-    /// [`Fleet::run_epochs`] uses next-event forecasts to keep
-    /// *dormant* hosts — quiescent or merely eventless until the next
-    /// epoch boundary — off the worker pool. Bit-identical either
-    /// way; the switch exists for the fast-vs-exact benchmarks and
-    /// regression tests.
-    pub event_core: bool,
     /// Sharded placement (see [`crate::shard`]): `None` keeps the
     /// global single-controller pass. The shard *count* inside the
     /// config is pure worker partitioning — it never changes the
@@ -119,7 +111,6 @@ impl FleetConfig {
             epoch: SimDuration::from_secs(30),
             spare_hosts: 0,
             idle_fast_path: true,
-            event_core: true,
             sharding: None,
             bounded_stats: false,
         }
@@ -164,13 +155,6 @@ impl FleetConfig {
         self
     }
 
-    /// Enables or disables the event-driven core (on by default).
-    #[must_use]
-    pub fn with_event_core(mut self, on: bool) -> Self {
-        self.event_core = on;
-        self
-    }
-
     /// Enables sharded placement (see [`crate::shard`]).
     #[must_use]
     pub fn with_sharding(mut self, sharding: ShardConfig) -> Self {
@@ -198,9 +182,8 @@ impl FleetConfig {
     }
 
     fn build_host(&self) -> Host {
-        let mut cfg = HostConfig::optiplex_defaults(self.scheduler)
-            .with_idle_fast_path(self.idle_fast_path)
-            .with_event_core(self.event_core);
+        let mut cfg =
+            HostConfig::optiplex_defaults(self.scheduler).with_idle_fast_path(self.idle_fast_path);
         if self.bounded_stats {
             // Push the snapshot boundary past any realistic run so
             // hosts retain no periodic snapshots: per-host state stays
@@ -433,18 +416,17 @@ impl Fleet {
         }
     }
 
-    /// Fleet-wide phase timings and fused-slice count: the sum of
-    /// every host's [`Host::perf`] counters, plus the total number of
-    /// slices the event core committed through its fused replay loop.
+    /// Fleet-wide phase timings, the sum of every host's
+    /// [`Host::perf`] counters, and a fused-slice count that is always
+    /// 0: hosts have no fused replay, but benchmark callers still read
+    /// the pair.
     #[must_use]
     pub fn perf_totals(&self) -> (HostPerf, u64) {
         let mut perf = HostPerf::default();
-        let mut fused = 0;
         for host in &self.hosts {
             perf.absorb(host.perf());
-            fused += host.fused_slices();
         }
-        (perf, fused)
+        (perf, 0)
     }
 
     /// `true` once [`Fleet::enable_tracing`] has installed tracers.
@@ -561,28 +543,15 @@ impl Fleet {
         for _ in 0..epochs {
             let epoch = self.cfg.epoch;
             if self.cfg.idle_fast_path {
-                // Dormant hosts cost next to nothing to simulate —
+                // Quiescent hosts cost next to nothing to simulate —
                 // advance them inline and spend the worker pool on the
-                // hosts that actually execute work. With the event
-                // core on, "dormant" is next-event-driven: no VM on
-                // the host can run before the epoch ends (this covers
-                // quiescent hosts, spares, *and* hosts whose sources
-                // trickle demand too slowly to wake a VM this epoch).
-                // Without it, only provably-dead quiescent hosts stay
-                // inline. The forecast routes *where* a host runs,
-                // never what it computes — each host is independent
-                // and runs the same `run_for` either way, so the
-                // split cannot change results.
-                let event_core = self.cfg.event_core;
+                // hosts that actually execute work. The split routes
+                // *where* a host runs, never what it computes — each
+                // host is independent and runs the same `run_for`
+                // either way, so it cannot change results.
                 let mut busy: Vec<&mut Host> = Vec::new();
                 for host in &mut self.hosts {
-                    let dormant = if event_core {
-                        let end = host.now() + epoch;
-                        host.next_vm_wake(end) >= end
-                    } else {
-                        host.is_quiescent()
-                    };
-                    if dormant {
+                    if host.is_quiescent() {
                         host.run_for(epoch);
                     } else {
                         busy.push(host);
@@ -947,40 +916,6 @@ mod tests {
             for (a, b) in s.iter().zip(&s_exact) {
                 assert_eq!(a.0.to_bits(), b.0.to_bits());
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "fast={fast} jobs={jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn event_core_is_bit_exact_and_jobs_invariant() {
-        // Mixed fleet: steady constant-demand workers (fusable), one
-        // stepped VM (unfusable — exercises the conservative
-        // wake-now forecast) and quiescent spares (dormant — advanced
-        // inline by the next-event skip). The event core must match
-        // the slice-exact core bit for bit, at every job count.
-        let mut specs = lazy_fleet(8);
-        specs.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
-        let run = |on: bool, jobs: usize| {
-            let cfg = FleetConfig::pas_defaults()
-                .with_spares(3)
-                .with_event_core(on);
-            let mut fleet = Fleet::build(cfg, &specs);
-            fleet.run_epochs(5, jobs);
-            (fleet.totals(), fleet.load_series().points().to_vec())
-        };
-        let (t_exact, s_exact) = run(false, 1);
-        for (on, jobs) in [(true, 1), (true, 4), (false, 4)] {
-            let (t, s) = run(on, jobs);
-            assert_eq!(
-                t.energy_j.to_bits(),
-                t_exact.energy_j.to_bits(),
-                "energy, event_core={on} jobs={jobs}"
-            );
-            assert_eq!(t.sla_ratio.to_bits(), t_exact.sla_ratio.to_bits());
-            assert_eq!(s.len(), s_exact.len());
-            for (a, b) in s.iter().zip(&s_exact) {
-                assert_eq!(a.0.to_bits(), b.0.to_bits());
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "event_core={on} jobs={jobs}");
             }
         }
     }

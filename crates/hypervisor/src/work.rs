@@ -91,24 +91,6 @@ pub trait WorkSource: Send {
     fn qos_summary(&self) -> Option<QosSummary> {
         None
     }
-
-    /// `Some(rate)` if this source is a *pure fluid* producing exactly
-    /// `rate · dt` mega-cycles for every call, independent of `now`.
-    ///
-    /// **Contract:** a source returning `Some(r)` must guarantee that
-    /// [`generate`](Self::generate) returns the bit-exact value
-    /// `r * dt.as_secs_f64()` with no observable state change, that
-    /// [`on_progress`](Self::on_progress) and
-    /// [`on_dropped`](Self::on_dropped) are no-ops, that
-    /// [`backlog_cap_mcycles`](Self::backlog_cap_mcycles) is infinite,
-    /// and that [`demand_exhausted`](Self::demand_exhausted) is
-    /// constant over time (`false` whenever `r > 0`). The host's
-    /// event-driven core uses this to replay steady scheduling windows
-    /// without calling back into the source; any source with history-
-    /// or time-dependent behaviour must return `None` (the default).
-    fn steady_rate_mcps(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// A fluid constant-rate demand source (mega-cycles per second).
@@ -163,10 +145,6 @@ impl WorkSource for ConstantDemand {
         // A zero-rate source will never produce demand, so a host
         // carrying only such VMs counts as quiescent.
         self.rate_mcps == 0.0
-    }
-
-    fn steady_rate_mcps(&self) -> Option<f64> {
-        Some(self.rate_mcps)
     }
 }
 
@@ -266,10 +244,6 @@ impl WorkSource for Idle {
 
     fn is_finished(&self) -> bool {
         true
-    }
-
-    fn steady_rate_mcps(&self) -> Option<f64> {
-        Some(0.0)
     }
 }
 

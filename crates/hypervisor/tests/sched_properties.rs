@@ -6,7 +6,7 @@ use hypervisor::vm::{SedfParams, VmConfig, VmId};
 use hypervisor::work::ConstantDemand;
 use pas_core::Credit;
 use proptest::prelude::*;
-use simkernel::SimDuration;
+use simkernel::{SimDuration, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -170,15 +170,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The event-driven core's acceptance criterion, randomized: for
-    /// any scheduler × governor × workload-mix, a host with the fused
-    /// window replay enabled must be bit-identical — energy, busy
-    /// fractions, P-state, final instant, snapshots — to the
-    /// slice-exact loop. The fused path may engage or not depending on
-    /// the draw (caps below the quantum never fuse, multi-runnable
-    /// windows never fuse); either way the results must agree exactly.
+    /// The idle-skip fast path, randomized: for any scheduler ×
+    /// governor × workload-mix, a host that jumps quiescent windows
+    /// must be bit-identical — completion instant, energy, busy
+    /// fractions, P-state, final instant, snapshots — to one that runs
+    /// every slice. Batch and idle VMs make hosts go quiescent during
+    /// the run; a constant-demand VM keeps its host busy throughout.
+    /// Both drivers of the window loop are covered: the run first
+    /// waits for VM 0 to finish, then runs on to the horizon.
     #[test]
-    fn event_core_matches_exact_loop_on_random_scenarios(
+    fn idle_fast_path_matches_exact_loop_on_random_scenarios(
         sched_ix in 0usize..4,
         gov_ix in 0usize..3,
         vms in proptest::collection::vec((0usize..3, 0.05f64..1.0, 5.0f64..90.0), 1..5),
@@ -193,8 +194,8 @@ proptest! {
             SchedulerKind::Sedf { extra: true },
             SchedulerKind::Pas,
         ][sched_ix];
-        let run = |event_core: bool| {
-            let mut cfg = HostConfig::optiplex_defaults(sched).with_event_core(event_core);
+        let run = |fast: bool| {
+            let mut cfg = HostConfig::optiplex_defaults(sched).with_idle_fast_path(fast);
             // PAS owns DVFS; other schedulers draw a governor.
             if sched_ix != 3 {
                 cfg = match gov_ix {
@@ -216,7 +217,9 @@ proptest! {
                     work,
                 );
             }
-            host.run_for(SimDuration::from_secs(secs));
+            let horizon = SimTime::from_secs(secs);
+            let done = host.run_until_vm_finished(VmId(0), horizon);
+            host.run_until(horizon);
             let per_vm: Vec<(u64, u64)> = (0..vms.len())
                 .map(|i| {
                     (
@@ -226,6 +229,7 @@ proptest! {
                 })
                 .collect();
             (
+                done,
                 host.cpu().energy().joules().to_bits(),
                 host.stats().global_busy_fraction().to_bits(),
                 host.cpu().pstate(),
@@ -234,8 +238,8 @@ proptest! {
                 host.stats().snapshots().to_vec(),
             )
         };
-        let on = run(true);
-        let off = run(false);
-        prop_assert_eq!(on, off);
+        let fast = run(true);
+        let exact = run(false);
+        prop_assert_eq!(fast, exact);
     }
 }

@@ -1,54 +1,48 @@
-//! Deterministic discrete-event simulation kernel.
+//! Deterministic simulated time and randomness.
 //!
 //! This crate provides the substrate every other crate in the workspace
 //! builds on:
 //!
-//! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time,
-//! * [`EventQueue`] — a total-ordered pending-event set with stable
-//!   FIFO tie-breaking and O(log n) cancellation,
-//! * [`WakeHeap`] — a rebuildable per-host wake-instant heap ordered
-//!   by `(time, stream, sequence)` for the event-driven host loop,
-//! * [`Engine`] — the event loop, generic over a user-supplied world type,
+//! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated
+//!   time as exact integer arithmetic,
 //! * [`SimRng`] — a seeded, reproducible random number generator.
 //!
-//! The kernel is deliberately single-threaded: reproducing a scheduling
-//! paper requires bit-for-bit reproducible runs, so all parallelism in
-//! this workspace lives *across* experiment runs (see the `experiments`
-//! crate), never inside one.
+//! There is no event queue: a host advances itself window by window
+//! between its accounting, governor and snapshot boundaries (see the
+//! `hypervisor` crate), and a fleet advances its hosts epoch by epoch.
+//! Reproducing a scheduling paper requires bit-for-bit reproducible
+//! runs, so all parallelism in this workspace lives *across*
+//! independent hosts and experiment runs, never inside one.
 //!
 //! # Example
 //!
 //! ```
-//! use simkernel::{Engine, SimTime, SimDuration};
+//! use simkernel::{SimDuration, SimRng, SimTime};
 //!
-//! struct World { ticks: u32 }
-//!
-//! let mut engine = Engine::new();
-//! let mut world = World { ticks: 0 };
-//! // A self-rescheduling periodic event.
-//! fn tick(w: &mut World, eng: &mut Engine<World>) {
-//!     w.ticks += 1;
-//!     if w.ticks < 5 {
-//!         let next = eng.now() + SimDuration::from_millis(10);
-//!         eng.schedule(next, tick);
-//!     }
+//! // A 30 ms accounting period, stepped five times from zero.
+//! let period = SimDuration::from_millis(30);
+//! let mut now = SimTime::ZERO;
+//! for _ in 0..5 {
+//!     now += period;
 //! }
-//! engine.schedule(SimTime::ZERO, tick);
-//! engine.run(&mut world);
-//! assert_eq!(world.ticks, 5);
-//! assert_eq!(engine.now(), SimTime::from_millis(40));
+//! assert_eq!(now, SimTime::from_millis(150));
+//! assert_eq!(now.as_secs_f64(), 0.150);
+//!
+//! // Float seconds round to the clock's microsecond resolution, so
+//! // a span below half a microsecond is zero.
+//! assert_eq!(SimDuration::from_secs_f64(1.6e-6), SimDuration::from_micros(2));
+//! assert!(SimDuration::from_secs_f64(4e-7).is_zero());
+//!
+//! // The same seed gives the same stream.
+//! let mut a = SimRng::seed_from(2013);
+//! let mut b = SimRng::seed_from(2013);
+//! assert_eq!(a.exponential(4.0), b.exponential(4.0));
 //! ```
 
 #![deny(missing_docs)]
 
-mod engine;
-mod event;
 mod rng;
 mod time;
-mod wake;
 
-pub use engine::{Engine, EngineError, EngineEvent};
-pub use event::{EventId, EventQueue, QueuedEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use wake::{Wake, WakeHeap, WakeKind};

@@ -378,17 +378,14 @@ fn quickstart_metrics_exports_are_byte_identical() {
     );
 }
 
-/// The event-driven core's fleet-level acceptance criterion: with
-/// next-event epoch routing, every artefact must be byte-identical to
-/// the slice-exact core across `--jobs` 1/2/8 and shard counts
-/// 1/4/16. The wake forecast only decides *where* a host simulates
-/// (inline versus on the worker pool), never what any slice computes,
-/// so neither the event core nor worker scheduling may leak into a
-/// single byte. The population mixes saturating, trickle (dormant
-/// for whole epochs between wakes), stepped-surge and fully idle VMs
-/// so both routes are actually exercised.
+/// A mixed PAS fleet's artefacts must be byte-identical across
+/// `--jobs` 1/2/8 and shard counts 1/4/16. The population mixes
+/// saturating, trickle, stepped-surge and fully idle VMs, so some
+/// hosts stay busy while others go quiescent and run inline, off the
+/// worker pool: neither routing nor worker scheduling may leak into a
+/// single byte.
 #[test]
-fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
+fn mixed_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
     use pas_repro::cluster::{Fleet, FleetConfig, ShardConfig, VmSpec};
     use pas_repro::metrics::export;
 
@@ -401,11 +398,9 @@ fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
     specs.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
     specs.extend((0..5).map(|i| VmSpec::new(format!("idle{i}"), 2.0, 0.0).with_credit_frac(0.1)));
 
-    let run = |event_core: bool, shards: usize, jobs: usize| {
+    let run = |shards: usize, jobs: usize| {
         let mut fleet = Fleet::build(
-            FleetConfig::pas_defaults()
-                .with_event_core(event_core)
-                .with_sharding(ShardConfig::new(shards)),
+            FleetConfig::pas_defaults().with_sharding(ShardConfig::new(shards)),
             &specs,
         );
         fleet.run_epochs(5, jobs);
@@ -416,20 +411,12 @@ fn event_core_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
             export::to_csv(&[fleet.load_series()]),
         )
     };
-    let reference = run(false, 1, 1);
-    for (event_core, shards, jobs) in [
-        (true, 1, 1),
-        (true, 1, 2),
-        (true, 1, 8),
-        (true, 4, 2),
-        (true, 16, 8),
-        (false, 4, 8),
-    ] {
-        let got = run(event_core, shards, jobs);
+    let reference = run(1, 1);
+    for (shards, jobs) in [(1, 2), (1, 8), (4, 2), (16, 8), (4, 8)] {
+        let got = run(shards, jobs);
         assert_eq!(
             got, reference,
-            "artefacts must be byte-identical \
-             (event_core={event_core}, shards={shards}, jobs={jobs})"
+            "artefacts must be byte-identical (shards={shards}, jobs={jobs})"
         );
     }
 }
