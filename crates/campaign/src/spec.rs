@@ -20,6 +20,7 @@
 use std::fmt;
 
 use serde::{DeError, Deserialize, Serialize, Value};
+use simkernel::SimDuration;
 
 /// A campaign failure: spec validation, sweep expansion, or run
 /// assembly. The payload is a human-actionable message.
@@ -1004,6 +1005,16 @@ impl ScenarioSpec {
                     f.epoch_s.is_finite() && f.epoch_s > 0.0,
                     format!("scenario.epoch_s must be positive, got {}", f.epoch_s),
                 )?;
+                // The fleet runs on a 1 µs clock: an epoch that rounds
+                // to zero microseconds would never advance it.
+                check(
+                    !SimDuration::from_secs_f64(f.epoch_s).is_zero(),
+                    format!(
+                        "scenario.epoch_s must round to at least 1 µs on the simulated \
+                         clock, got {}",
+                        f.epoch_s
+                    ),
+                )?;
                 if let Some(s) = f.shards {
                     check(
                         s >= 1,
@@ -1282,6 +1293,40 @@ mod tests {
             }
             ScenarioSpec::Fleet(_) => panic!("expected host"),
         }
+    }
+
+    /// A small PAS fleet whose epoch length is substituted per test.
+    fn pas_fleet_with_epoch(epoch_s: &str) -> String {
+        format!(
+            r#"{{
+                "name": "tiny-epoch",
+                "scenario": {{
+                    "kind": "fleet",
+                    "scheduler": "pas",
+                    "duration_s": 600,
+                    "size": 4,
+                    "epoch_s": {epoch_s}
+                }},
+                "seeds": {{ "replicates": 1 }}
+            }}"#
+        )
+    }
+
+    #[test]
+    fn sub_microsecond_epoch_is_rejected_instead_of_hanging() {
+        // 1e-7 s rounds to a zero-length epoch on the 1 µs clock; the
+        // run would spin through millions of empty epochs forever.
+        let err = CampaignSpec::from_json(&pas_fleet_with_epoch("1e-7")).unwrap_err();
+        assert!(err.0.contains("scenario.epoch_s"), "{err}");
+        // A spec assembled in code is refused by the run itself.
+        let mut spec = CampaignSpec::from_json(&pas_fleet_with_epoch("30")).unwrap();
+        if let ScenarioSpec::Fleet(f) = &mut spec.scenario {
+            f.epoch_s = 1e-7;
+        }
+        let err = crate::run(&spec, true, 1).unwrap_err();
+        assert!(err.0.contains("scenario.epoch_s"), "{err}");
+        // One microsecond is the shortest epoch the clock can step.
+        assert!(CampaignSpec::from_json(&pas_fleet_with_epoch("1e-6")).is_ok());
     }
 
     #[test]

@@ -218,6 +218,30 @@ fn rate_limit_answers_429_under_burst() {
 }
 
 #[test]
+fn sub_microsecond_fleet_epoch_is_refused_with_400() {
+    // 1e-7 s rounds to a zero-length epoch on the simulated clock; a
+    // job built from it would never finish and block the queue.
+    let spec = r#"{
+        "name": "tiny-epoch",
+        "scenario": {
+            "kind": "fleet",
+            "scheduler": "pas",
+            "duration_s": 600,
+            "size": 4,
+            "epoch_s": 1e-7
+        },
+        "seeds": { "replicates": 1 }
+    }"#;
+    let (addr, handle) = boot(test_config());
+    let (status, body) = http(addr, &post("/campaigns", spec, None));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("scenario.epoch_s"), "{body}");
+    let (_, body) = http(addr, &get("/healthz", None));
+    assert!(body.contains("\"submitted\":0"), "{body}");
+    shutdown(addr, handle, None);
+}
+
+#[test]
 fn malformed_and_oversized_submissions_die_at_the_door() {
     let mut cfg = test_config();
     cfg.max_body_bytes = 4096;
