@@ -8,8 +8,8 @@
 //! * `benches/figures.rs` — Figures 1–10,
 //! * `benches/tables.rs` — Tables 1–2 and the §5.2 validations,
 //! * `benches/ablations.rs` — the X1–X8 extension studies,
-//! * `benches/micro.rs` — hot-path micro-benchmarks (event queue,
-//!   scheduler dispatch, planner).
+//! * `benches/micro.rs` — hot-path micro-benchmarks (scheduler
+//!   dispatch, planner, one simulated host-second).
 //!
 //! The criterion benches measure *statistical* timing of isolated
 //! pieces; the [`harness`] module measures *whole-suite wall-clock*

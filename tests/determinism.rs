@@ -6,6 +6,8 @@ use pas_repro::governors::Ondemand;
 use pas_repro::hypervisor::SchedulerKind;
 use pas_repro::workloads::Intensity;
 
+mod common;
+
 fn run_seeded(seed: u64) -> Vec<(f64, f64)> {
     let mut sc = build(
         ScenarioConfig::new(SchedulerKind::Credit, Intensity::Exact, Fidelity::Quick)
@@ -379,25 +381,15 @@ fn quickstart_metrics_exports_are_byte_identical() {
 }
 
 /// A mixed PAS fleet's artefacts must be byte-identical across
-/// `--jobs` 1/2/8 and shard counts 1/4/16. The population mixes
-/// saturating, trickle, stepped-surge and fully idle VMs, so some
-/// hosts stay busy while others go quiescent and run inline, off the
-/// worker pool: neither routing nor worker scheduling may leak into a
-/// single byte.
+/// `--jobs` 1/2/8 and shard counts 1/4/16. Some of its hosts stay busy
+/// while others go quiescent and run inline, off the worker pool:
+/// neither routing nor worker scheduling may leak into a single byte.
 #[test]
 fn mixed_fleet_artifacts_are_byte_identical_across_jobs_and_shards() {
-    use pas_repro::cluster::{Fleet, FleetConfig, ShardConfig, VmSpec};
+    use pas_repro::cluster::{Fleet, FleetConfig, ShardConfig};
     use pas_repro::metrics::export;
 
-    let mut specs: Vec<VmSpec> = (0..6)
-        .map(|i| VmSpec::new(format!("busy{i}"), 4.0, 0.25))
-        .collect();
-    specs.extend(
-        (0..6).map(|i| VmSpec::new(format!("trickle{i}"), 2.0, 0.002).with_credit_frac(0.2)),
-    );
-    specs.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
-    specs.extend((0..5).map(|i| VmSpec::new(format!("idle{i}"), 2.0, 0.0).with_credit_frac(0.1)));
-
+    let specs = common::mixed_fleet_specs();
     let run = |shards: usize, jobs: usize| {
         let mut fleet = Fleet::build(
             FleetConfig::pas_defaults().with_sharding(ShardConfig::new(shards)),

@@ -16,10 +16,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use pas_repro::campaign::CampaignSpec;
-use pas_repro::cluster::{fnv1a64, parallel_map, Fleet, FleetConfig, VmSpec};
+use pas_repro::cluster::{fnv1a64, parallel_map, Fleet, FleetConfig};
 use pas_repro::experiments::runner::{all_experiment_names, run_experiment_jobs};
 use pas_repro::experiments::scenario::Fidelity;
 use pas_repro::metrics::export;
+
+mod common;
 
 /// Worker threads for the independent experiments.
 const JOBS: usize = 2;
@@ -28,8 +30,7 @@ const JOBS: usize = 2;
 /// `repro all --quick --out` writes them: a CSV when the report has
 /// series, and always a JSON.
 fn experiment_artefacts() -> Vec<(String, String)> {
-    let names: Vec<&'static str> = all_experiment_names();
-    let reports = parallel_map(JOBS, names, |_, name| {
+    let reports = parallel_map(JOBS, all_experiment_names(), |_, name| {
         run_experiment_jobs(name, Fidelity::Quick, 1).expect("registered experiment")
     });
     let mut out = Vec::new();
@@ -54,18 +55,10 @@ fn credit_sweep_artefacts() -> Vec<(String, String)> {
     report.artefact_files().expect("report serializes")
 }
 
-/// One traced PAS fleet: saturating, trickle, stepped-surge and idle
-/// VMs, the population the fleet determinism tests use.
+/// One traced PAS fleet over the mixed population the fleet
+/// determinism test uses.
 fn traced_fleet_artefact() -> (String, String) {
-    let mut specs: Vec<VmSpec> = (0..6)
-        .map(|i| VmSpec::new(format!("busy{i}"), 4.0, 0.25))
-        .collect();
-    specs.extend(
-        (0..6).map(|i| VmSpec::new(format!("trickle{i}"), 2.0, 0.002).with_credit_frac(0.2)),
-    );
-    specs.push(VmSpec::new("surge", 4.0, 0.05).with_steps(vec![(60.0, 0.40), (90.0, 0.05)]));
-    specs.extend((0..5).map(|i| VmSpec::new(format!("idle{i}"), 2.0, 0.0).with_credit_frac(0.1)));
-
+    let specs = common::mixed_fleet_specs();
     let mut fleet = Fleet::build(FleetConfig::pas_defaults(), &specs);
     fleet.enable_tracing(pas_repro::trace::DEFAULT_CAPACITY);
     fleet.run_epochs(5, JOBS);
